@@ -1,7 +1,7 @@
-"""Ingest fast-path benchmark: parallel build + zero-parse compiled store.
+"""Ingest benchmark: parallel build + bulk prepared store.
 
-Measures the two halves of the bulk-ingest pipeline introduced with
-``ParallelDwarfBuilder`` and the compiled-statement store path:
+Measures the two halves of the bulk-ingest pipeline: the
+``ParallelDwarfBuilder`` and the sessions' bulk prepared-insert path:
 
 * **Build** — serial ``DwarfBuilder`` vs ``ParallelDwarfBuilder`` over the
   same sorted tuple set.  Reports the wall-clock times plus a
@@ -13,11 +13,11 @@ Measures the two halves of the bulk-ingest pipeline introduced with
   honest hardware-independent measure.  Structural identity with the
   serial cube is asserted on every run.
 
-* **Store** — one cube persisted through the three statement paths of the
-  NoSQL-DWARF mapper: raw statement text (a parse per row), prepared
-  statements (parse once, plan per execute), and compiled statements
-  (zero parse, rows stream straight into the memtable).  A secondary
-  sweep compares prepared vs compiled for all four mappers.
+* **Store** — one cube persisted through the two statement paths of the
+  NoSQL-DWARF mapper: raw statement text (a parse per row) and what
+  ``store()`` runs, prepared statements through ``execute_many`` (parse
+  once, bind the column template once, rows stream straight into the
+  memtable).  A secondary sweep times ``store()`` for all four mappers.
 
 Run standalone (not under pytest)::
 
@@ -150,41 +150,26 @@ def bench_store(bundle, repeats: int, all_mappers: bool) -> Dict:
             session.execute(statement)
 
     def prepared_store():
-        _fresh_nosql_dwarf().store(cube, probe_size=False, compiled=False)
-
-    def compiled_store():
-        _fresh_nosql_dwarf().store(cube, probe_size=False, compiled=True)
+        _fresh_nosql_dwarf().store(cube, probe_size=False)
 
     text_s = best_of(text_store, repeats, label="bench.store.text")
     prepared_s = best_of(prepared_store, repeats, label="bench.store.prepared")
-    compiled_s = best_of(compiled_store, repeats, label="bench.store.compiled")
 
     result = {
         "mapper": "NoSQL-DWARF",
         "text_s": text_s,
         "prepared_s": prepared_s,
-        "compiled_s": compiled_s,
-        "text_vs_compiled_speedup": text_s / compiled_s,
-        "prepared_vs_compiled_speedup": prepared_s / compiled_s,
+        "text_vs_prepared_speedup": text_s / prepared_s,
     }
     if all_mappers:
         per_mapper = {}
         for name in MAPPER_FACTORIES:
             mapper = make_mapper(name)
             _, mapper_prepared_s = timed(
-                lambda: mapper.store(cube, probe_size=False, compiled=False),
+                lambda: mapper.store(cube, probe_size=False),
                 label="bench.store.prepared",
             )
-            mapper.reset()
-            _, mapper_compiled_s = timed(
-                lambda: mapper.store(cube, probe_size=False, compiled=True),
-                label="bench.store.compiled",
-            )
-            per_mapper[name] = {
-                "prepared_s": mapper_prepared_s,
-                "compiled_s": mapper_compiled_s,
-                "speedup": mapper_prepared_s / mapper_compiled_s,
-            }
+            per_mapper[name] = {"prepared_s": mapper_prepared_s}
         result["per_mapper"] = per_mapper
     return result
 
@@ -242,13 +227,9 @@ def main(argv=None) -> int:
           f"speedup {cp['speedup']:.2f}x")
     print(f"store   text {store['text_s'] * 1000:8.1f} ms   "
           f"prepared {store['prepared_s'] * 1000:8.1f} ms   "
-          f"compiled {store['compiled_s'] * 1000:8.1f} ms")
-    print(f"        text/compiled {store['text_vs_compiled_speedup']:.2f}x   "
-          f"prepared/compiled {store['prepared_vs_compiled_speedup']:.2f}x")
+          f"text/prepared {store['text_vs_prepared_speedup']:.2f}x")
     for name, cell in store.get("per_mapper", {}).items():
-        print(f"        {name:12s} prepared {cell['prepared_s'] * 1000:8.1f} ms   "
-              f"compiled {cell['compiled_s'] * 1000:8.1f} ms   "
-              f"speedup {cell['speedup']:.2f}x")
+        print(f"        {name:12s} prepared {cell['prepared_s'] * 1000:8.1f} ms")
     print(f"wrote {args.out}")
     return 0
 

@@ -424,80 +424,42 @@ class ColumnFamily:
 
         Raises InvalidRequest for unknown columns or a missing primary key.
         """
-        key = row.get(self.primary_key)
-        if key is None:
+        if row.get(self.primary_key) is None:
             raise InvalidRequest(f"INSERT into {self.name!r} misses primary key")
         by_name = self._by_name
-        bound = []
+        bound = {}
         for name, value in row.items():
             column = by_name.get(name)
             if column is None:
                 raise InvalidRequest(f"table {self.name!r} has no column {name!r}")
             if value is not None:
-                bound.append((column, value))
-        self.insert_bound(key, bound)
+                bound[column] = value
+        self.insert_bound_many((bound,))
 
-    def insert_bound(self, key, bound) -> None:
-        """The prepared-statement write path: columns already resolved.
+    def insert_bound_many(self, rows) -> int:
+        """The write path: many bound rows in one tight loop.
 
-        ``bound`` is a list of ``(Column, non-None value)`` pairs; this is
-        what a server executes after binding parameters to a prepared
-        INSERT's column metadata.
+        Each row is a ``{Column: non-None value}`` dict — what a server
+        holds after binding parameters to a prepared INSERT's column
+        metadata — and is encoded in its dict order.  Every row advances
+        the write clock, appends its commit-log record, maintains the
+        indexes and may seal the memtable, exactly as one-row inserts
+        would.  Raises InvalidRequest for a row without its primary key.
         """
-        self._write_clock += 1
-        ts_bytes = self._write_clock.to_bytes(8, "little")
-        parts: List[bytes] = [encode_varint(len(bound))]
-        for column, value in bound:
-            parts.append(column._encoded_name)
-            parts.append(ts_bytes)
-            parts.append(column.cql_type.validate_encode(value))
-        encoded = b"".join(parts)
-        if self._commit_log is not None:
-            self._commit_log.append(self.name, key, encoded)
-        shard = self._shard_of(key)
-        if self._indexes:
-            previous = self._read_encoded(key)
-            if previous is not None:
-                old_row = self.decode_row(previous)
-                for column_name, index in self._indexes.items():
-                    index.remove(old_row.get(column_name), key)
-            new_values = {column.name: value for column, value in bound}
-            for column_name, index in self._indexes.items():
-                index.add(new_values.get(column_name), key)
-            was_live = previous is not None
-        elif shard.n_live is not None:
-            was_live = self._is_live_in(shard, key)
-        else:
-            was_live = True  # counter dirty; the value is unused
-        shard.memtable.put(key, encoded)
-        self._row_cache.invalidate(key)
-        if shard.n_live is not None and not was_live:
-            shard.n_live += 1
-        self._n_writes += 1
-        self._m_writes.inc()
-        if shard.memtable.approximate_bytes >= FLUSH_THRESHOLD:
-            self._seal_shard(shard)
-
-    def insert_bound_many(self, items) -> int:
-        """Bulk write path: many ``(key, bound)`` rows in one tight loop.
-
-        Byte-identical to calling :meth:`insert_bound` per row — same
-        write-clock sequence, cell encoding, commit-log records, index
-        maintenance and flush points — but with the per-row interpreter
-        overhead (plan lookups, closure dispatch, attribute walks) hoisted
-        out of the loop.  This is what a compiled statement's
-        ``execute_batch`` feeds.
-        """
+        pk_column = self._by_name[self.primary_key]
         commit_log = self._commit_log
         indexes = self._indexes
         row_cache = self._row_cache
         shard_of = self._shard_of
         count = 0
-        for key, bound in items:
+        for bound in rows:
+            key = bound.get(pk_column)
+            if key is None:
+                raise InvalidRequest(f"INSERT into {self.name!r} misses primary key")
             self._write_clock += 1
             ts_bytes = self._write_clock.to_bytes(8, "little")
             parts: List[bytes] = [encode_varint(len(bound))]
-            for column, value in bound:
+            for column, value in bound.items():
                 parts.append(column._encoded_name)
                 parts.append(ts_bytes)
                 parts.append(column.cql_type.validate_encode(value))
@@ -511,7 +473,7 @@ class ColumnFamily:
                     old_row = self.decode_row(previous)
                     for column_name, index in indexes.items():
                         index.remove(old_row.get(column_name), key)
-                new_values = {column.name: value for column, value in bound}
+                new_values = {column.name: value for column, value in bound.items()}
                 for column_name, index in indexes.items():
                     index.add(new_values.get(column_name), key)
                 was_live = previous is not None

@@ -10,17 +10,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-
-class Placeholder:
-    """A positional ``?`` bind marker (0-based)."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-
-    def __repr__(self) -> str:
-        return f"?{self.index}"
+# The ``?`` bind marker and EXPLAIN nodes are shared with the SQL dialect.
+from repro.query import Explain, Placeholder
 
 
 class SetLiteral:
@@ -193,18 +184,3 @@ class Batch(Statement):
 
     def __init__(self, statements: List[Statement]) -> None:
         self.statements = statements
-
-
-class Explain(Statement):
-    """``EXPLAIN [ANALYZE] SELECT ...``: report the chosen plan, one row
-    per operator.
-
-    With ``analyze`` set the statement is also *executed* and every
-    operator row carries actual counters (see
-    :mod:`repro.query.analyze`)."""
-
-    __slots__ = ("select", "analyze")
-
-    def __init__(self, select: "Select", analyze: bool = False) -> None:
-        self.select = select
-        self.analyze = analyze

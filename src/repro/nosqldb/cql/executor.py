@@ -25,6 +25,7 @@ from repro.query import (
     Aggregate,
     Filter,
     FullScan,
+    FusedPointSelect,
     IndexScan,
     Limit,
     MultiGet,
@@ -37,11 +38,15 @@ from repro.query import (
     ResultSet as _KernelResultSet,
     Sort,
     TableMeta,
+    WriteTarget,
     analyze_plan,
+    bind_slot,
     choose_access,
     compare,
+    compile_value,
     count_partial,
     null_safe_key,
+    table_guard,
 )
 
 
@@ -68,50 +73,40 @@ def execute(
     return runner.run(statement)
 
 
-def plan_insert_template(
-    engine, statement: ast.Statement, current_keyspace: Optional[str]
-):
-    """Resolve a plain INSERT to ``(table, template, pk_slot)``.
+def resolve_write(engine, statement: ast.Statement, current_keyspace: Optional[str]):
+    """The :class:`~repro.query.WriteTarget` of a prepared DML statement.
 
-    ``template`` is a list of ``(column, is_bind, index_or_constant)``
-    slots; ``pk_slot`` is the template entry for the primary key.  Returns
-    ``None`` when the statement cannot be planned ahead of execution
-    (collection literals with inner bind markers, non-INSERT statements,
-    no resolvable keyspace, no primary-key column).
+    A plain INSERT gets its column template — ``(Column, is_bind,
+    index_or_constant)`` slots — and the column family's bulk write
+    loop.  INSERTs with set literals holding bind markers, UPDATE and
+    DELETE only name their table; they run through the generic
+    executor.  Returns ``None`` for anything else or when no keyspace
+    resolves.
     """
-    if not isinstance(statement, ast.Insert):
+    if not isinstance(statement, (ast.Insert, ast.Update, ast.Delete)):
         return None
     keyspace_name = statement.ref.keyspace or current_keyspace
     if keyspace_name is None:
         return None
     table = engine.keyspace(keyspace_name).table(statement.ref.table)
-    template = []
-    pk_slot = None
-    for name, value in zip(statement.columns, statement.values):
-        if isinstance(value, ast.SetLiteral):
-            return None
-        column = table.column(name)
-        is_bind = isinstance(value, ast.Placeholder)
-        slot = (column, is_bind, value.index if is_bind else value)
-        if name == table.primary_key:
-            pk_slot = slot
-        template.append(slot)
-    if pk_slot is None:
-        return None
-    return table, template, pk_slot
+    if not isinstance(statement, ast.Insert) or any(
+        isinstance(value, ast.SetLiteral) for value in statement.values
+    ):
+        return WriteTarget(table)
+    slots = tuple(
+        (table.column(name),) + bind_slot(value)
+        for name, value in zip(statement.columns, statement.values)
+    )
+    return WriteTarget(table, slots, table.insert_bound_many)
 
 
-def plan_point_select(
+def resolve_point_select(
     engine, statement: ast.Statement, current_keyspace: Optional[str]
-):
-    """Resolve ``SELECT ... WHERE <pk> = ?`` to a batched-fetch shape.
+) -> Optional[FusedPointSelect]:
+    """The fused multi-get for ``SELECT ... WHERE <pk> = ?``.
 
-    Returns ``(table, key_slot, columns, limit)`` where ``key_slot`` is
-    ``(is_bind, index_or_constant)``.  This is the shape
-    :meth:`~repro.nosqldb.session.Session.execute_many` fuses into one
-    :class:`repro.query.MultiGet` execution.  Returns ``None`` for any
-    other statement shape (those fall back to per-row execution through
-    the generic executor).
+    Returns ``None`` for any other statement shape (those fall back to
+    per-row execution through the generic executor).
     """
     if not isinstance(statement, ast.Select) or statement.count:
         return None
@@ -129,86 +124,19 @@ def plan_point_select(
     value = condition.value
     if isinstance(value, ast.SetLiteral):
         return None
-    is_bind = isinstance(value, ast.Placeholder)
     columns = tuple(statement.columns or ())
     for name in columns:
         table.column(name)  # validate once, not per row
-    key_slot = (is_bind, value.index if is_bind else value)
-    return table, key_slot, columns, statement.limit
-
-
-class FusedPointSelect:
-    """execute_many's server-side shape: one :class:`MultiGet` resolves
-    every bound key, key-aligned so each parameter row maps to its own
-    result.  Cached in the session plan cache under the statement text;
-    ``guards`` revalidate the resolved column family on every hit."""
-
-    __slots__ = ("node", "key_slot", "columns", "limit", "guards")
-
-    def __init__(self, node, key_slot, columns, limit, guards) -> None:
-        self.node = node
-        self.key_slot = key_slot
-        self.columns = columns
-        self.limit = limit
-        self.guards = guards
-
-    def fetch(self, keys: Sequence) -> List[Optional[Dict[str, object]]]:
-        """Key-aligned rows (None per missing key) for ``keys``."""
-        return self.node.run(keys)
-
-
-def make_select_many_plan(
-    engine, statement: ast.Statement, current_keyspace: Optional[str]
-) -> Optional[FusedPointSelect]:
-    """Compile the fused multi-get plan behind ``execute_many``.
-
-    Returns ``None`` when the statement is not the point-select shape.
-    """
-    planned = plan_point_select(engine, statement, current_keyspace)
-    if planned is None:
-        return None
-    table, key_slot, columns, limit = planned
-    node = MultiGet(
+    return FusedPointSelect(
         table,
-        keys=lambda keys: keys,
         table_name=statement.ref.table,
         key_desc=table.primary_key,
+        key_value=value,
+        columns=columns,
+        limit=statement.limit,
+        guard=table_guard(engine.keyspace, keyspace_name, statement.ref.table, table),
         cache_probe=lambda: table.block_cache_hits,
-        keep_missing=True,
     )
-    keyspace_name = statement.ref.keyspace or current_keyspace
-    guard = _table_guard(engine, keyspace_name, statement.ref.table, table)
-    return FusedPointSelect(node, key_slot, columns, limit, (guard,))
-
-
-def make_insert_plan(engine, statement: ast.Statement, current_keyspace: Optional[str]):
-    """Compile a simple prepared INSERT into a per-row callable.
-
-    This is the server-side prepared-statement plan: the table and column
-    template are resolved once, so batch execution only binds parameters
-    and calls the storage engine.  Returns ``None`` when the statement is
-    not a plain INSERT (collection literals with inner bind markers and
-    non-INSERT statements fall back to the generic executor).
-    """
-    planned = plan_insert_template(engine, statement, current_keyspace)
-    if planned is None:
-        return None
-    table, template, pk_slot = planned
-    insert_bound = table.insert_bound
-    pk_column, pk_is_bind, pk_value = pk_slot
-
-    def run(params: Sequence) -> None:
-        key = params[pk_value] if pk_is_bind else pk_value
-        if key is None:
-            raise InvalidRequest(f"INSERT into {table.name!r} misses primary key")
-        bound = []
-        for column, is_bind, value in template:
-            resolved = params[value] if is_bind else value
-            if resolved is not None:
-                bound.append((column, resolved))
-        insert_bound(key, bound)
-
-    return run
 
 
 # ----------------------------------------------------------------------
@@ -216,22 +144,10 @@ def make_insert_plan(engine, statement: ast.Statement, current_keyspace: Optiona
 # ----------------------------------------------------------------------
 def _compile_value(value) -> Callable[[Sequence], object]:
     """A ``resolve(params)`` callable for one literal/placeholder/set."""
-    if isinstance(value, ast.Placeholder):
-        index = value.index
-
-        def resolve(params: Sequence):
-            if index >= len(params):
-                raise InvalidRequest(
-                    f"statement has bind marker ?{index} but only "
-                    f"{len(params)} parameters were supplied"
-                )
-            return params[index]
-
-        return resolve
     if isinstance(value, ast.SetLiteral):
         items = [_compile_value(item) for item in value.items]
         return lambda params: {resolve(params) for resolve in items}
-    return lambda params: value
+    return compile_value(value, InvalidRequest)
 
 
 def _compile_value_list(values) -> Callable[[Sequence], List[object]]:
@@ -243,19 +159,6 @@ def _condition_desc(condition: ast.Condition) -> str:
     if condition.op == "IN":
         return f"{condition.column} IN ({', '.join(repr(v) for v in condition.value)})"
     return f"{condition.column} {condition.op} {condition.value!r}"
-
-
-def _table_guard(engine, keyspace_name: str, table_name: str, table: ColumnFamily):
-    """A plan-cache guard: same column family, same index signature."""
-    indexed = frozenset(table.indexed_columns)
-
-    def check() -> bool:
-        return (
-            engine.keyspace(keyspace_name).table(table_name) is table
-            and frozenset(table.indexed_columns) == indexed
-        )
-
-    return check
 
 
 def _table_meta(table: ColumnFamily) -> TableMeta:
@@ -282,7 +185,7 @@ def build_select_plan(
     if keyspace_name is None:
         raise InvalidRequest(f"no keyspace specified for table {stmt.ref.table!r}")
     table = engine.keyspace(keyspace_name).table(stmt.ref.table)
-    guards = (_table_guard(engine, keyspace_name, stmt.ref.table, table),)
+    guards = (table_guard(engine.keyspace, keyspace_name, stmt.ref.table, table),)
 
     conditions = list(stmt.where)
     access, index = choose_access(

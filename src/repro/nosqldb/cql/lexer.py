@@ -1,24 +1,18 @@
 """CQL tokeniser.
 
-A small regex-driven scanner producing ``(kind, text, position)`` tokens.
-Keywords are recognised case-insensitively at the parser level; the lexer
-only distinguishes identifiers, literals and punctuation.
+The CQL token regex and string-quoting rule; the scanning loop is the
+shared :func:`repro.query.scan`.  Keywords are recognised
+case-insensitively at the parser level; the lexer only distinguishes
+identifiers, literals and punctuation.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple
+from typing import List
 
 from repro.nosqldb.errors import CQLSyntaxError
-from repro.query import syntax_error_message
-
-
-class Token(NamedTuple):
-    kind: str      # IDENT | NUMBER | STRING | OP | END
-    text: str
-    position: int
-
+from repro.query import Token, scan
 
 _TOKEN_RE = re.compile(
     r"""
@@ -35,24 +29,7 @@ _TOKEN_RE = re.compile(
 
 def tokenize(text: str) -> List[Token]:
     """Scan ``text`` into tokens, ending with a single END token."""
-    tokens: List[Token] = []
-    position = 0
-    length = len(text)
-    while position < length:
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            snippet = text[position:position + 20]
-            raise CQLSyntaxError(
-                syntax_error_message("cannot tokenise CQL", text, position, snippet)
-            )
-        kind = match.lastgroup
-        value = match.group()
-        position = match.end()
-        if kind in ("WS", "COMMENT"):
-            continue
-        tokens.append(Token(kind, value, match.start()))
-    tokens.append(Token("END", "", length))
-    return tokens
+    return scan(text, _TOKEN_RE, CQLSyntaxError, "CQL")
 
 
 def unquote_string(text: str) -> str:

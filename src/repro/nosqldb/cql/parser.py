@@ -1,13 +1,16 @@
-"""Recursive-descent parser for the CQL subset."""
+"""Recursive-descent parser for the CQL subset.
+
+The CQL productions on the shared :class:`repro.query.Parser` core.
+"""
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
 from repro.nosqldb.cql import ast
-from repro.nosqldb.cql.lexer import Token, tokenize, unquote_string
+from repro.nosqldb.cql.lexer import tokenize, unquote_string
 from repro.nosqldb.errors import CQLSyntaxError
-from repro.query import syntax_error_message
+from repro.query import Parser
 
 
 def parse(text: str) -> ast.Statement:
@@ -15,71 +18,12 @@ def parse(text: str) -> ast.Statement:
     return _Parser(text).parse_statement()
 
 
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = tokenize(text)
-        self.position = 0
-        self._n_placeholders = 0
-
-    # -- token plumbing ---------------------------------------------------
-    def _peek(self) -> Token:
-        return self.tokens[self.position]
-
-    def _advance(self) -> Token:
-        token = self.tokens[self.position]
-        if token.kind != "END":
-            self.position += 1
-        return token
-
-    def _error(self, message: str) -> CQLSyntaxError:
-        token = self._peek()
-        return CQLSyntaxError(
-            syntax_error_message(message, self.text, token.position, token.text)
-        )
-
-    def _accept_keyword(self, word: str) -> bool:
-        token = self._peek()
-        if token.kind == "IDENT" and token.text.upper() == word:
-            self._advance()
-            return True
-        return False
-
-    def _expect_keyword(self, word: str) -> None:
-        if not self._accept_keyword(word):
-            raise self._error(f"expected {word}")
-
-    def _accept_op(self, op: str) -> bool:
-        token = self._peek()
-        if token.kind == "OP" and token.text == op:
-            self._advance()
-            return True
-        return False
-
-    def _expect_op(self, op: str) -> None:
-        if not self._accept_op(op):
-            raise self._error(f"expected {op!r}")
-
-    def _identifier(self) -> str:
-        token = self._peek()
-        if token.kind != "IDENT":
-            raise self._error("expected an identifier")
-        self._advance()
-        return token.text
-
-    # -- entry point --------------------------------------------------------
-    def parse_statement(self) -> ast.Statement:
-        statement = self._statement()
-        self._accept_op(";")
-        if self._peek().kind != "END":
-            raise self._error("trailing input after statement")
-        return statement
+class _Parser(Parser):
+    error = CQLSyntaxError
+    tokenize = staticmethod(tokenize)
+    unquote = staticmethod(unquote_string)
 
     def _statement(self) -> ast.Statement:
-        if self._accept_keyword("EXPLAIN"):
-            analyze = self._accept_keyword("ANALYZE")
-            self._expect_keyword("SELECT")
-            return ast.Explain(self._select(), analyze=analyze)
         if self._accept_keyword("BEGIN"):
             return self._batch()
         if self._accept_keyword("CREATE"):
@@ -122,13 +66,6 @@ class _Parser:
         return ast.Batch(statements)
 
     # -- DDL -----------------------------------------------------------------
-    def _if_not_exists(self) -> bool:
-        if self._accept_keyword("IF"):
-            self._expect_keyword("NOT")
-            self._expect_keyword("EXISTS")
-            return True
-        return False
-
     def _create(self) -> ast.Statement:
         if self._accept_keyword("KEYSPACE"):
             if_not_exists = self._if_not_exists()
@@ -220,11 +157,7 @@ class _Parser:
             columns.append(self._identifier())
         self._expect_op(")")
         self._expect_keyword("VALUES")
-        self._expect_op("(")
-        values = [self._value()]
-        while self._accept_op(","):
-            values.append(self._value())
-        self._expect_op(")")
+        values = self._value_list()
         if len(columns) != len(values):
             raise self._error(f"{len(columns)} columns but {len(values)} values")
         return ast.Insert(ref, columns, values)
@@ -255,13 +188,7 @@ class _Parser:
                 descending = True
             else:
                 self._accept_keyword("ASC")
-        limit: Optional[int] = None
-        if self._accept_keyword("LIMIT"):
-            token = self._peek()
-            if token.kind != "NUMBER":
-                raise self._error("expected a LIMIT count")
-            self._advance()
-            limit = int(token.text)
+        limit = self._limit()
         allow_filtering = False
         if self._accept_keyword("ALLOW"):
             self._expect_keyword("FILTERING")
@@ -282,11 +209,6 @@ class _Parser:
             raise self._error("UPDATE requires a WHERE clause")
         return ast.Update(ref, assignments, where)
 
-    def _assignment(self) -> Tuple[str, object]:
-        column = self._identifier()
-        self._expect_op("=")
-        return column, self._value()
-
     def _delete(self) -> ast.Delete:
         self._expect_keyword("FROM")
         ref = self._table_ref()
@@ -295,24 +217,10 @@ class _Parser:
             raise self._error("DELETE requires a WHERE clause")
         return ast.Delete(ref, where)
 
-    def _where_clause(self) -> List[ast.Condition]:
-        conditions: List[ast.Condition] = []
-        if not self._accept_keyword("WHERE"):
-            return conditions
-        conditions.append(self._condition())
-        while self._accept_keyword("AND"):
-            conditions.append(self._condition())
-        return conditions
-
     def _condition(self) -> ast.Condition:
         column = self._identifier()
         if self._accept_keyword("IN"):
-            self._expect_op("(")
-            items = [self._value()]
-            while self._accept_op(","):
-                items.append(self._value())
-            self._expect_op(")")
-            return ast.Condition(column, "IN", items)
+            return ast.Condition(column, "IN", self._value_list())
         for op in ("<=", ">=", "=", "<", ">"):
             if self._accept_op(op):
                 return ast.Condition(column, op, self._value())
@@ -327,34 +235,8 @@ class _Parser:
         raise self._error("expected TRUE or FALSE")
 
     def _value(self):
-        token = self._peek()
-        if token.kind == "OP" and token.text == "?":
-            self._advance()
-            placeholder = ast.Placeholder(self._n_placeholders)
-            self._n_placeholders += 1
-            return placeholder
-        if token.kind == "NUMBER":
-            self._advance()
-            text = token.text
-            if "." in text or "e" in text or "E" in text:
-                return float(text)
-            return int(text)
-        if token.kind == "STRING":
-            self._advance()
-            return unquote_string(token.text)
-        if token.kind == "IDENT":
-            upper = token.text.upper()
-            if upper == "TRUE":
-                self._advance()
-                return True
-            if upper == "FALSE":
-                self._advance()
-                return False
-            if upper == "NULL":
-                self._advance()
-                return None
-        if token.kind == "OP" and token.text == "{":
-            self._advance()
+        """A literal, a ``?`` marker, or a ``{...}`` set literal."""
+        if self._accept_op("{"):
             items = []
             if not self._accept_op("}"):
                 items.append(self._value())
@@ -362,4 +244,4 @@ class _Parser:
                     items.append(self._value())
                 self._expect_op("}")
             return ast.SetLiteral(items)
-        raise self._error("expected a literal value")
+        return super()._value()

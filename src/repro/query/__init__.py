@@ -3,7 +3,8 @@
 One plan/operator layer under both database engines: a common
 :class:`ResultSet`, the expression evaluator, volcano-style plan nodes
 with per-operator counters, and the rule-based planner with its plan
-cache.  Engine front-ends (``repro.sqldb``, ``repro.nosqldb``) compile
+cache, plus the parser core and client session both dialects share.
+Engine front-ends (``repro.sqldb``, ``repro.nosqldb``) compile
 their dialects down to this layer; this package must never import an
 engine (lint rule REPRO006).
 """
@@ -57,7 +58,19 @@ from repro.query.pushdown import (
     PushedCondition,
     PushedPredicate,
 )
+from repro.query.parser import Explain, Parser, Placeholder, Token, scan
 from repro.query.result import ResultSet
+from repro.query.session import (
+    FusedPointSelect,
+    PreparedStatement,
+    Session,
+    WriteTarget,
+    bind_rows,
+    bind_slot,
+    compile_value,
+    missing_parameter,
+    table_guard,
+)
 
 __all__ = [
     "ACCESS_INDEX",
@@ -76,6 +89,20 @@ __all__ = [
     "shard_fanout",
     "snapshot_counters",
     "BoundPredicate",
+    "Explain",
+    "FusedPointSelect",
+    "Parser",
+    "Placeholder",
+    "PreparedStatement",
+    "Session",
+    "Token",
+    "WriteTarget",
+    "bind_rows",
+    "bind_slot",
+    "compile_value",
+    "missing_parameter",
+    "scan",
+    "table_guard",
     "COMPARISON_OPS",
     "Filter",
     "FullScan",

@@ -316,7 +316,7 @@ class PointLookup(_Access):
 
 class MultiGet(_Access):
     """One batched ``get_many`` over a runtime key list (pk ``IN``, and
-    the fused fetch behind ``execute_many``/``select_many``)."""
+    the fused fetch behind ``select_many``)."""
 
     kind = "MultiGet"
     __slots__ = ("keys", "keep_missing", "keys_batched", "blocks_cached")

@@ -4,17 +4,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-
-class Placeholder:
-    """A positional ``?`` bind marker (0-based)."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-
-    def __repr__(self) -> str:
-        return f"?{self.index}"
+# The ``?`` bind marker and EXPLAIN nodes are shared with the CQL dialect.
+from repro.query import Explain, Placeholder
 
 
 class ColumnRef:
@@ -209,17 +200,3 @@ class Truncate(Statement):
 
     def __init__(self, source: TableSource) -> None:
         self.source = source
-
-
-class Explain(Statement):
-    """``EXPLAIN [ANALYZE] SELECT ...``: report the chosen access paths.
-
-    With ``analyze`` set the statement is also *executed* and every
-    operator row carries actual counters (see
-    :mod:`repro.query.analyze`)."""
-
-    __slots__ = ("select", "analyze")
-
-    def __init__(self, select: "Select", analyze: bool = False) -> None:
-        self.select = select
-        self.analyze = analyze

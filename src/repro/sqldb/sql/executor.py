@@ -23,6 +23,7 @@ from repro.query import (
     Aggregate,
     Filter,
     FullScan,
+    FusedPointSelect,
     HashJoin,
     IndexScan,
     Limit,
@@ -37,13 +38,17 @@ from repro.query import (
     ResultSet,
     Sort,
     TableMeta,
+    WriteTarget,
     analyze_plan,
+    bind_slot,
     choose_access,
     choose_join_access,
     compare,
+    compile_value,
     count_partial,
     evaluate_aggregate,
     null_safe_key,
+    table_guard,
 )
 from repro.sqldb.errors import ProgrammingError
 from repro.sqldb.sql import ast
@@ -69,42 +74,38 @@ def execute(
     return _Executor(engine, params, current_database).run(statement)
 
 
-def plan_insert_template(
-    engine, statement: ast.Statement, current_database: Optional[str]
-):
-    """Resolve a single-row INSERT to ``(table, template)``.
+def resolve_write(engine, statement: ast.Statement, current_database: Optional[str]):
+    """The :class:`~repro.query.WriteTarget` of a prepared DML statement.
 
-    ``template`` is a list of ``(column_name, is_bind, index_or_constant)``
-    slots.  Returns ``None`` for anything but a one-row INSERT with a
-    resolvable database.
+    A single-row INSERT gets its column template — ``(column_name,
+    is_bind, index_or_constant)`` slots — and the table's bulk write
+    loop.  Multi-row INSERTs, UPDATE and DELETE only name their table;
+    they run through the generic executor.  Returns ``None`` for
+    anything else or when no database resolves.
     """
-    if not isinstance(statement, ast.Insert) or len(statement.rows) != 1:
+    if not isinstance(statement, (ast.Insert, ast.Update, ast.Delete)):
         return None
-    template = []
-    for column, value in zip(statement.columns, statement.rows[0]):
-        if isinstance(value, ast.Placeholder):
-            template.append((column, True, value.index))
-        else:
-            template.append((column, False, value))
     database_name = statement.source.database or current_database
     if database_name is None:
         return None
     table = engine.database(database_name).table(statement.source.table)
-    return table, template
+    if not isinstance(statement, ast.Insert) or len(statement.rows) != 1:
+        return WriteTarget(table)
+    slots = tuple(
+        (column,) + bind_slot(value)
+        for column, value in zip(statement.columns, statement.rows[0])
+    )
+    return WriteTarget(table, slots, table.insert_rows)
 
 
-def plan_point_select(
+def resolve_point_select(
     engine, statement: ast.Statement, current_database: Optional[str]
-):
-    """Resolve ``SELECT ... FROM t WHERE <pk> = ?`` to a batched-fetch shape.
+) -> Optional[FusedPointSelect]:
+    """The fused multi-get for ``SELECT ... FROM t WHERE <pk> = ?``.
 
-    Returns ``(table, key_slot, columns, limit)`` where ``key_slot`` is
-    ``(is_bind, index_or_constant)`` and ``columns`` the projected names
-    (empty = ``*``).  This is the shape
-    :meth:`~repro.sqldb.session.SQLSession.select_many` fuses into one
-    :class:`repro.query.MultiGet` execution.  Returns ``None`` for any
-    other shape (joins, aggregates, composite keys, ...) — those fall
-    back to per-row execution through the generic executor.
+    Returns ``None`` for any other shape (joins, aggregates, composite
+    keys, ...) — those fall back to per-row execution through the
+    generic executor.
     """
     if not isinstance(statement, ast.Select) or statement.count:
         return None
@@ -127,77 +128,15 @@ def plan_point_select(
             return None
         table.column(ref.name)  # validate once, not per row
         columns.append(ref.name)
-    value = condition.value
-    is_bind = isinstance(value, ast.Placeholder)
-    key_slot = (is_bind, value.index if is_bind else value)
-    return table, key_slot, tuple(columns), statement.limit
-
-
-class FusedPointSelect:
-    """select_many's server-side shape: one :class:`MultiGet` resolves
-    every bound key, key-aligned so each parameter row maps to its own
-    result.  Cached in the session plan cache under the statement text;
-    ``guards`` revalidate the resolved table on every hit."""
-
-    __slots__ = ("node", "key_slot", "columns", "limit", "guards")
-
-    def __init__(self, node, key_slot, columns, limit, guards) -> None:
-        self.node = node
-        self.key_slot = key_slot
-        self.columns = columns
-        self.limit = limit
-        self.guards = guards
-
-    def fetch(self, keys: Sequence) -> List[Optional[Dict[str, object]]]:
-        """Key-aligned rows (None per missing key) for ``keys``."""
-        return self.node.run(keys)
-
-
-def make_select_many_plan(
-    engine, statement: ast.Statement, current_database: Optional[str]
-) -> Optional[FusedPointSelect]:
-    """Compile the fused multi-get plan behind ``select_many``.
-
-    Returns ``None`` when the statement is not the point-select shape.
-    """
-    planned = plan_point_select(engine, statement, current_database)
-    if planned is None:
-        return None
-    table, key_slot, columns, limit = planned
-    node = MultiGet(
+    return FusedPointSelect(
         table,
-        keys=lambda keys: keys,
         table_name=statement.source.table,
         key_desc=table.primary_key[0],
-        keep_missing=True,
+        key_value=condition.value,
+        columns=tuple(columns),
+        limit=statement.limit,
+        guard=table_guard(engine.database, database_name, statement.source.table, table),
     )
-    database_name = statement.source.database or current_database
-    guard = _table_guard(engine, database_name, statement.source.table, table)
-    return FusedPointSelect(node, key_slot, columns, limit, (guard,))
-
-
-def make_insert_plan(engine, statement: ast.Statement, current_database: Optional[str]):
-    """Compile a prepared single-row INSERT into a per-row callable.
-
-    The server-side plan for ``executemany``: table and column template
-    resolved once, per row only parameter binding and the storage call.
-    Returns ``None`` for anything but a one-row INSERT.
-    """
-    planned = plan_insert_template(engine, statement, current_database)
-    if planned is None:
-        return None
-    table, template = planned
-    table_insert = table.insert
-
-    def run(params: Sequence) -> None:
-        row = {}
-        for column, is_bind, value in template:
-            resolved = params[value] if is_bind else value
-            if resolved is not None:
-                row[column] = resolved
-        table_insert(row)
-
-    return run
 
 
 # ----------------------------------------------------------------------
@@ -205,30 +144,12 @@ def make_insert_plan(engine, statement: ast.Statement, current_database: Optiona
 # ----------------------------------------------------------------------
 def _compile_value(value) -> Callable[[Sequence], object]:
     """A ``resolve(params)`` callable for one literal-or-placeholder."""
-    if isinstance(value, ast.Placeholder):
-        index = value.index
-
-        def resolve(params: Sequence):
-            if index >= len(params):
-                raise ProgrammingError(
-                    f"statement has bind marker ?{index} but only "
-                    f"{len(params)} parameters were supplied"
-                )
-            return params[index]
-
-        return resolve
-    return lambda params: value
+    return compile_value(value, ProgrammingError)
 
 
 def _compile_value_list(values) -> Callable[[Sequence], List[object]]:
     resolvers = [_compile_value(v) for v in values]
     return lambda params: [resolve(params) for resolve in resolvers]
-
-
-def _value_desc(value) -> str:
-    if isinstance(value, ast.Placeholder):
-        return repr(value)
-    return repr(value)
 
 
 def _condition_desc(condition) -> str:
@@ -238,25 +159,8 @@ def _condition_desc(condition) -> str:
     if op == "NOTNULL":
         return f"{column} IS NOT NULL"
     if op == "IN":
-        return f"{column} IN ({', '.join(_value_desc(v) for v in value)})"
-    return f"{column} {op} {_value_desc(value)}"
-
-
-def _table_guard(engine, database_name: str, table_name: str, table: Table):
-    """A plan-cache guard: same table object, same index signature.
-
-    DROP/recreate swaps the object; CREATE INDEX changes the signature —
-    either way the cached plan is stale and must be rebuilt.
-    """
-    indexed = frozenset(table.indexed_columns)
-
-    def check() -> bool:
-        return (
-            engine.database(database_name).table(table_name) is table
-            and frozenset(table.indexed_columns) == indexed
-        )
-
-    return check
+        return f"{column} IN ({', '.join(repr(v) for v in value)})"
+    return f"{column} {op} {value!r}"
 
 
 def _table_meta(table: Table, alias: str) -> TableMeta:
@@ -348,7 +252,7 @@ class _SelectPlanBuilder:
         if database_name is None:
             raise ProgrammingError(f"no database selected for table {source.table!r}")
         table = self.engine.database(database_name).table(source.table)
-        self.guards.append(_table_guard(self.engine, database_name, source.table, table))
+        self.guards.append(table_guard(self.engine.database, database_name, source.table, table))
         return table
 
     # -- access-path selection ----------------------------------------------

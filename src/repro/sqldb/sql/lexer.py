@@ -1,19 +1,16 @@
-"""SQL tokeniser (MySQL-flavoured: backtick identifiers, # comments)."""
+"""SQL tokeniser (MySQL-flavoured: backtick identifiers, # comments).
+
+The SQL token regex and string-quoting rule; the scanning loop is the
+shared :func:`repro.query.scan`.
+"""
 
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple
+from typing import List
 
-from repro.query import syntax_error_message
+from repro.query import Token, scan
 from repro.sqldb.errors import SQLSyntaxError
-
-
-class Token(NamedTuple):
-    kind: str      # IDENT | NUMBER | STRING | OP | END
-    text: str
-    position: int
-
 
 _TOKEN_RE = re.compile(
     r"""
@@ -21,7 +18,7 @@ _TOKEN_RE = re.compile(
   | (?P<COMMENT>--[^\n]*|\#[^\n]*|/\*.*?\*/)
   | (?P<STRING>'(?:[^'\\]|\\.|'')*'|"(?:[^"\\]|\\.)*")
   | (?P<NUMBER>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-  | (?P<BACKTICK>`[^`]+`)
+  | (?P<QUOTED_IDENT>`[^`]+`)
   | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<OP><=|>=|<>|!=|[(),.=<>*?;])
     """,
@@ -30,27 +27,7 @@ _TOKEN_RE = re.compile(
 
 
 def tokenize(text: str) -> List[Token]:
-    tokens: List[Token] = []
-    position = 0
-    length = len(text)
-    while position < length:
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            snippet = text[position:position + 20]
-            raise SQLSyntaxError(
-                syntax_error_message("cannot tokenise SQL", text, position, snippet)
-            )
-        kind = match.lastgroup
-        value = match.group()
-        position = match.end()
-        if kind in ("WS", "COMMENT"):
-            continue
-        if kind == "BACKTICK":
-            tokens.append(Token("IDENT", value[1:-1], match.start()))
-        else:
-            tokens.append(Token(kind, value, match.start()))
-    tokens.append(Token("END", "", length))
-    return tokens
+    return scan(text, _TOKEN_RE, SQLSyntaxError, "SQL")
 
 
 def unquote_string(text: str) -> str:

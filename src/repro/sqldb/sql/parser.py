@@ -1,13 +1,16 @@
-"""Recursive-descent parser for the SQL subset."""
+"""Recursive-descent parser for the SQL subset.
+
+The SQL productions on the shared :class:`repro.query.Parser` core.
+"""
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.query import syntax_error_message
+from repro.query import Parser
 from repro.sqldb.errors import SQLSyntaxError
 from repro.sqldb.sql import ast
-from repro.sqldb.sql.lexer import Token, tokenize, unquote_string
+from repro.sqldb.sql.lexer import tokenize, unquote_string
 
 _RESERVED = {
     "SELECT", "FROM", "WHERE", "INSERT", "INTO", "VALUES", "UPDATE", "SET",
@@ -23,71 +26,12 @@ def parse(text: str) -> ast.Statement:
     return _Parser(text).parse_statement()
 
 
-class _Parser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = tokenize(text)
-        self.position = 0
-        self._n_placeholders = 0
-
-    # -- token plumbing ------------------------------------------------------
-    def _peek(self) -> Token:
-        return self.tokens[self.position]
-
-    def _advance(self) -> Token:
-        token = self.tokens[self.position]
-        if token.kind != "END":
-            self.position += 1
-        return token
-
-    def _error(self, message: str) -> SQLSyntaxError:
-        token = self._peek()
-        return SQLSyntaxError(
-            syntax_error_message(message, self.text, token.position, token.text)
-        )
-
-    def _accept_keyword(self, word: str) -> bool:
-        token = self._peek()
-        if token.kind == "IDENT" and token.text.upper() == word:
-            self._advance()
-            return True
-        return False
-
-    def _expect_keyword(self, word: str) -> None:
-        if not self._accept_keyword(word):
-            raise self._error(f"expected {word}")
-
-    def _accept_op(self, op: str) -> bool:
-        token = self._peek()
-        if token.kind == "OP" and token.text == op:
-            self._advance()
-            return True
-        return False
-
-    def _expect_op(self, op: str) -> None:
-        if not self._accept_op(op):
-            raise self._error(f"expected {op!r}")
-
-    def _identifier(self) -> str:
-        token = self._peek()
-        if token.kind != "IDENT":
-            raise self._error("expected an identifier")
-        self._advance()
-        return token.text
-
-    # -- entry ------------------------------------------------------------------
-    def parse_statement(self) -> ast.Statement:
-        statement = self._statement()
-        self._accept_op(";")
-        if self._peek().kind != "END":
-            raise self._error("trailing input after statement")
-        return statement
+class _Parser(Parser):
+    error = SQLSyntaxError
+    tokenize = staticmethod(tokenize)
+    unquote = staticmethod(unquote_string)
 
     def _statement(self) -> ast.Statement:
-        if self._accept_keyword("EXPLAIN"):
-            analyze = self._accept_keyword("ANALYZE")
-            self._expect_keyword("SELECT")
-            return ast.Explain(self._select(), analyze=analyze)
         if self._accept_keyword("CREATE"):
             return self._create()
         if self._accept_keyword("INSERT"):
@@ -108,13 +52,6 @@ class _Parser:
         raise self._error("unknown statement")
 
     # -- DDL ----------------------------------------------------------------------
-    def _if_not_exists(self) -> bool:
-        if self._accept_keyword("IF"):
-            self._expect_keyword("NOT")
-            self._expect_keyword("EXISTS")
-            return True
-        return False
-
     def _create(self) -> ast.Statement:
         if self._accept_keyword("DATABASE") or self._accept_keyword("SCHEMA"):
             if_not_exists = self._if_not_exists()
@@ -231,11 +168,7 @@ class _Parser:
         return ast.Insert(source, columns, rows)
 
     def _value_tuple(self, expected: int) -> List:
-        self._expect_op("(")
-        values = [self._value()]
-        while self._accept_op(","):
-            values.append(self._value())
-        self._expect_op(")")
+        values = self._value_list()
         if len(values) != expected:
             raise self._error(f"expected {expected} values, got {len(values)}")
         return values
@@ -289,13 +222,7 @@ class _Parser:
                 descending = True
             else:
                 self._accept_keyword("ASC")
-        limit: Optional[int] = None
-        if self._accept_keyword("LIMIT"):
-            token = self._peek()
-            if token.kind != "NUMBER":
-                raise self._error("expected a LIMIT count")
-            self._advance()
-            limit = int(token.text)
+        limit = self._limit()
         if group_by and not aggregates:
             raise self._error("GROUP BY requires at least one aggregate select item")
         return ast.Select(
@@ -333,24 +260,10 @@ class _Parser:
         where = self._where_clause()
         return ast.Update(source, assignments, where)
 
-    def _assignment(self) -> Tuple[str, object]:
-        column = self._identifier()
-        self._expect_op("=")
-        return column, self._value()
-
     def _delete(self) -> ast.Delete:
         self._expect_keyword("FROM")
         source = self._table_source(allow_alias=False)
         return ast.Delete(source, self._where_clause())
-
-    def _where_clause(self) -> List[ast.Condition]:
-        conditions: List[ast.Condition] = []
-        if not self._accept_keyword("WHERE"):
-            return conditions
-        conditions.append(self._condition())
-        while self._accept_keyword("AND"):
-            conditions.append(self._condition())
-        return conditions
 
     def _condition(self) -> ast.Condition:
         column = self._column_ref()
@@ -361,43 +274,9 @@ class _Parser:
             self._expect_keyword("NULL")
             return ast.Condition(column, "ISNULL", None)
         if self._accept_keyword("IN"):
-            self._expect_op("(")
-            items = [self._value()]
-            while self._accept_op(","):
-                items.append(self._value())
-            self._expect_op(")")
-            return ast.Condition(column, "IN", items)
+            return ast.Condition(column, "IN", self._value_list())
         for op in ("<=", ">=", "<>", "!=", "=", "<", ">"):
             if self._accept_op(op):
                 normalised = "!=" if op == "<>" else op
                 return ast.Condition(column, normalised, self._value())
         raise self._error("expected a comparison operator")
-
-    # -- literals -----------------------------------------------------------------------
-    def _value(self):
-        token = self._peek()
-        if token.kind == "OP" and token.text == "?":
-            self._advance()
-            placeholder = ast.Placeholder(self._n_placeholders)
-            self._n_placeholders += 1
-            return placeholder
-        if token.kind == "NUMBER":
-            self._advance()
-            if "." in token.text or "e" in token.text or "E" in token.text:
-                return float(token.text)
-            return int(token.text)
-        if token.kind == "STRING":
-            self._advance()
-            return unquote_string(token.text)
-        if token.kind == "IDENT":
-            upper = token.text.upper()
-            if upper == "TRUE":
-                self._advance()
-                return True
-            if upper == "FALSE":
-                self._advance()
-                return False
-            if upper == "NULL":
-                self._advance()
-                return None
-        raise self._error("expected a literal value")

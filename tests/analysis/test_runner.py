@@ -90,8 +90,8 @@ class TestHooks:
         session.execute("CREATE DATABASE d")
         session.execute("USE d")
         session.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-        insert = session.compile_insert("INSERT INTO t (id, v) VALUES (?, ?)")
-        assert insert.execute_batch([(i, i * 2) for i in range(20)]) == 20
+        insert = session.prepare("INSERT INTO t (id, v) VALUES (?, ?)")
+        assert session.execute_many(insert, [(i, i * 2) for i in range(20)]) == 20
 
     def test_session_hook_raises_on_corruption(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK", "1")
@@ -100,7 +100,43 @@ class TestHooks:
         session.execute("CREATE DATABASE d")
         session.execute("USE d")
         session.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
-        insert = session.compile_insert("INSERT INTO t (id, v) VALUES (?, ?)")
-        insert.table._clustered.insert(99, b"\xff\xffgarbage")
+        insert = session.prepare("INSERT INTO t (id, v) VALUES (?, ?)")
+        session.engine.database("d").table("t")._clustered.insert(99, b"\xff\xffgarbage")
         with pytest.raises(InvariantViolationError):
-            insert.execute_batch([(1, 2)])
+            session.execute_many(insert, [(1, 2)])
+
+    @pytest.mark.parametrize("dialect", ["cql", "sql"])
+    def test_session_hook_checks_tables_written_by_qualified_name(
+        self, dialect, monkeypatch
+    ):
+        # No USE: the bulk insert names its namespace itself, and the
+        # hook checks exactly the table it wrote.
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        import repro.analysis.runner as runner
+        from repro.nosqldb.engine import NoSQLEngine
+        from repro.sqldb.engine import SQLEngine
+
+        if dialect == "cql":
+            session = NoSQLEngine().connect()
+            session.execute("CREATE KEYSPACE ks")
+            session.execute("CREATE TABLE ks.t (id int PRIMARY KEY, v int)")
+            session.execute("CREATE TABLE ks.other (id int PRIMARY KEY)")
+            insert = session.prepare("INSERT INTO ks.t (id, v) VALUES (?, ?)")
+            written = session.engine.keyspace("ks").table("t")
+        else:
+            session = SQLEngine().connect()
+            session.execute("CREATE DATABASE ks")
+            session.execute("CREATE TABLE ks.t (id INT PRIMARY KEY, v INT)")
+            session.execute("CREATE TABLE ks.other (id INT PRIMARY KEY)")
+            insert = session.prepare("INSERT INTO ks.t (id, v) VALUES (?, ?)")
+            written = session.engine.database("ks").table("t")
+        checked = []
+        real_check = runner.runtime_check
+
+        def spy(target, label=None, **kwargs):
+            checked.append(target)
+            return real_check(target, label=label, **kwargs)
+
+        monkeypatch.setattr(runner, "runtime_check", spy)
+        assert session.execute_many(insert, [(1, 2), (3, 4)]) == 2
+        assert checked == [written]

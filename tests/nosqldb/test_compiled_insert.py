@@ -1,17 +1,18 @@
-"""Compiled (zero-parse) inserts must be byte-identical to per-row inserts.
+"""Bulk prepared inserts must be byte-identical to per-row inserts.
 
-``Session.compile_insert`` plans an INSERT once; ``execute_batch`` then
-streams bound rows straight into the memtable.  These tests drive the
-same rows through the classic per-statement path and the compiled path
-on twin engines and compare the raw storage state: encoded memtable
-rows, write clock, commit log records, and secondary index answers.
+``Session.execute_many`` and ``execute_batch`` compile a prepared
+INSERT's column template once and stream the bound rows into the
+column family's bulk write loop.  These tests drive the same rows
+through per-row ``execute_prepared`` (the generic executor) and through
+each bulk entry point on twin engines and compare the raw storage
+state: encoded memtable rows, write clock, commit log records, and
+secondary index answers.
 """
 
 import pytest
 
 from repro.nosqldb.engine import NoSQLEngine
 from repro.nosqldb.errors import InvalidRequest
-from repro.nosqldb.session import CompiledInsert
 
 _DDL = """
 CREATE TABLE IF NOT EXISTS readings (
@@ -53,17 +54,23 @@ def _storage_state(engine):
     return dict(table._memtable._rows), table._write_clock
 
 
-@pytest.mark.parametrize("with_index", [False, True])
-def test_compiled_batch_matches_per_row_bytes(with_index):
+def _execute_many(session, text, rows):
+    return session.execute_many(session.prepare(text), rows)
+
+
+def _execute_batch(session, text, rows):
+    prepared = session.prepare(text)
+    return session.execute_batch((prepared, row) for row in rows)
+
+
+def _assert_bulk_matches_per_row(with_index, bulk):
     classic_engine, classic = _fresh_session(with_index)
     prepared = classic.prepare(_INSERT)
     for row in _ROWS:
         classic.execute_prepared(prepared, row)
 
     compiled_engine, compiled_session = _fresh_session(with_index)
-    plan = compiled_session.compile_insert(_INSERT)
-    assert isinstance(plan, CompiledInsert)
-    assert plan.execute_batch(_ROWS) == len(_ROWS)
+    assert bulk(compiled_session, _INSERT, _ROWS) == len(_ROWS)
 
     classic_rows, classic_clock = _storage_state(classic_engine)
     compiled_rows, compiled_clock = _storage_state(compiled_engine)
@@ -80,14 +87,23 @@ def test_compiled_batch_matches_per_row_bytes(with_index):
                 sorted(_table(classic_engine)._indexes["station"].lookup(station))
 
 
+@pytest.mark.parametrize("with_index", [False, True])
+def test_compiled_batch_matches_per_row_bytes(with_index):
+    _assert_bulk_matches_per_row(with_index, _execute_many)
+
+
+@pytest.mark.parametrize("with_index", [False, True])
+def test_execute_batch_matches_per_row_bytes(with_index):
+    _assert_bulk_matches_per_row(with_index, _execute_batch)
+
+
 def test_compiled_single_execute_matches_insert():
     classic_engine, classic = _fresh_session()
     classic.execute(
         "INSERT INTO readings (id, station, level, ok) VALUES (9, 'w', 5, true)"
     )
     compiled_engine, compiled_session = _fresh_session()
-    plan = compiled_session.compile_insert(_INSERT)
-    plan.execute((9, "w", 5, True))
+    _execute_many(compiled_session, _INSERT, [(9, "w", 5, True)])
     assert _storage_state(compiled_engine) == _storage_state(classic_engine)
 
 
@@ -96,16 +112,17 @@ def test_compiled_insert_constant_values():
     classic_engine, classic = _fresh_session()
     classic.execute("INSERT INTO readings (id, station, level) VALUES (1, 'fix', 3)")
     compiled_engine, compiled_session = _fresh_session()
-    plan = compiled_session.compile_insert(
-        "INSERT INTO readings (id, station, level) VALUES (?, 'fix', 3)"
+    _execute_many(
+        compiled_session,
+        "INSERT INTO readings (id, station, level) VALUES (?, 'fix', 3)",
+        [(1,)],
     )
-    plan.execute_batch([(1,)])
     assert _storage_state(compiled_engine) == _storage_state(classic_engine)
 
 
 def test_rows_visible_through_cql_after_compiled_batch():
     engine, session = _fresh_session()
-    session.compile_insert(_INSERT).execute_batch(_ROWS)
+    _execute_batch(session, _INSERT, _ROWS)
     rows = sorted(
         (r["id"], r["station"]) for r in session.execute("SELECT * FROM readings")
     )
@@ -113,13 +130,23 @@ def test_rows_visible_through_cql_after_compiled_batch():
 
 
 def test_compile_rejects_non_insert():
-    _, session = _fresh_session()
-    with pytest.raises(InvalidRequest):
-        session.compile_insert("UPDATE readings SET level = ? WHERE id = ?")
+    # Only a plain INSERT binds through a template; an UPDATE runs row by
+    # row through the generic executor and writes what per-row
+    # execute_prepared writes.
+    update = "UPDATE readings SET level = ? WHERE id = ?"
+    classic_engine, classic = _fresh_session()
+    _execute_many(classic, _INSERT, _ROWS)
+    prepared = classic.prepare(update)
+    for row in [(11, 1), (12, 2)]:
+        classic.execute_prepared(prepared, row)
+    compiled_engine, compiled_session = _fresh_session()
+    _execute_many(compiled_session, _INSERT, _ROWS)
+    assert _execute_many(compiled_session, update, [(11, 1), (12, 2)]) == 2
+    assert _storage_state(compiled_engine) == _storage_state(classic_engine)
 
 
 def test_compiled_null_key_rejected():
     _, session = _fresh_session()
-    plan = session.compile_insert(_INSERT)
-    with pytest.raises(InvalidRequest):
-        plan.execute_batch([(None, "x", 1, True)])
+    for bulk in (_execute_many, _execute_batch):
+        with pytest.raises(InvalidRequest, match="misses primary key"):
+            bulk(session, _INSERT, [(None, "x", 1, True)])

@@ -280,7 +280,7 @@ class TestExecuteMany:
     def test_point_select_matches_per_row_execution(self, session):
         prepared = session.prepare("SELECT k, m FROM cells WHERE id = ?")
         params = [(i,) for i in (5, 1, 5, 99, 28)]
-        batched = session.execute_many(prepared, params)
+        batched = session.select_many(prepared, params)
         pointwise = [session.execute_prepared(prepared, p) for p in params]
         assert [r.rows for r in batched] == [r.rows for r in pointwise]
         from repro.query import UNPLANNABLE
@@ -288,14 +288,14 @@ class TestExecuteMany:
         assert session._fused_plan_for(prepared) is not UNPLANNABLE  # fast path engaged
 
     def test_cql_string_accepted(self, session):
-        results = session.execute_many(
+        results = session.select_many(
             "SELECT m FROM cells WHERE id = ?", [(2,), (3,)]
         )
         assert [r.one()["m"] for r in results] == [4, 6]
 
     def test_non_point_shape_falls_back(self, session):
         prepared = session.prepare("SELECT count(*) FROM cells")
-        results = session.execute_many(prepared, [(), ()])
+        results = session.select_many(prepared, [(), ()])
         from repro.query import UNPLANNABLE
 
         assert session._fused_plan_for(prepared) is UNPLANNABLE

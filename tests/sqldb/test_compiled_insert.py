@@ -1,17 +1,17 @@
-"""Compiled (zero-parse) SQL inserts must match per-row inserts byte-wise.
+"""Bulk prepared SQL inserts must match per-row inserts byte-wise.
 
-Twin databases receive the same rows through the classic parsed path and
-through ``SQLSession.compile_insert(...).execute_batch(...)``; the redo
-log, binlog, clustered B-tree and secondary indexes must end up
-identical, because the batch loop is the per-row insert with the parser
-removed — nothing else.
+Twin databases receive the same rows through per-row
+``execute_prepared`` (the generic executor) and through
+``SQLSession.execute_many``, which compiles the INSERT's column template
+once and streams the bound rows into the table's bulk write loop; the
+redo log, binlog, clustered B-tree and secondary indexes must end up
+identical.
 """
 
 import pytest
 
 from repro.sqldb.engine import SQLEngine
-from repro.sqldb.errors import IntegrityError, ProgrammingError
-from repro.sqldb.session import SQLCompiledInsert
+from repro.sqldb.errors import IntegrityError
 
 _DDL = """
 CREATE TABLE IF NOT EXISTS readings (
@@ -51,6 +51,10 @@ def _state(engine):
     }
 
 
+def _execute_many(session, text, rows):
+    return session.execute_many(session.prepare(text), rows)
+
+
 @pytest.mark.parametrize("with_index", [False, True])
 def test_compiled_batch_matches_per_row_bytes(with_index):
     classic_engine, classic = _fresh(with_index)
@@ -59,9 +63,7 @@ def test_compiled_batch_matches_per_row_bytes(with_index):
         classic.execute_prepared(prepared, row)
 
     compiled_engine, compiled_session = _fresh(with_index)
-    plan = compiled_session.compile_insert(_INSERT)
-    assert isinstance(plan, SQLCompiledInsert)
-    assert plan.execute_batch(_ROWS) == len(_ROWS)
+    assert _execute_many(compiled_session, _INSERT, _ROWS) == len(_ROWS)
 
     assert _state(compiled_engine) == _state(classic_engine)
 
@@ -70,7 +72,7 @@ def test_compiled_single_execute_matches_literal_insert():
     classic_engine, classic = _fresh()
     classic.execute("INSERT INTO readings (id, station, level) VALUES (7, 'w', 5)")
     compiled_engine, compiled_session = _fresh()
-    compiled_session.compile_insert(_INSERT).execute((7, "w", 5))
+    _execute_many(compiled_session, _INSERT, [(7, "w", 5)])
     assert _state(compiled_engine) == _state(classic_engine)
 
 
@@ -78,16 +80,17 @@ def test_compiled_insert_with_constants():
     classic_engine, classic = _fresh()
     classic.execute("INSERT INTO readings (id, station, level) VALUES (1, 'fix', 3)")
     compiled_engine, compiled_session = _fresh()
-    plan = compiled_session.compile_insert(
-        "INSERT INTO readings (id, station, level) VALUES (?, 'fix', 3)"
+    _execute_many(
+        compiled_session,
+        "INSERT INTO readings (id, station, level) VALUES (?, 'fix', 3)",
+        [(1,)],
     )
-    plan.execute_batch([(1,)])
     assert _state(compiled_engine) == _state(classic_engine)
 
 
 def test_rows_visible_through_sql_after_compiled_batch():
     engine, session = _fresh()
-    session.compile_insert(_INSERT).execute_batch(_ROWS)
+    _execute_many(session, _INSERT, _ROWS)
     rows = sorted(
         (r["id"], r["station"], r["level"])
         for r in session.execute("SELECT * FROM readings")
@@ -97,9 +100,8 @@ def test_rows_visible_through_sql_after_compiled_batch():
 
 def test_duplicate_primary_key_raises():
     engine, session = _fresh()
-    plan = session.compile_insert(_INSERT)
     with pytest.raises(IntegrityError):
-        plan.execute_batch([(1, "a", 1), (1, "b", 2)])
+        _execute_many(session, _INSERT, [(1, "a", 1), (1, "b", 2)])
     # The first row landed before the duplicate was detected, exactly as
     # two sequential single-row inserts would have behaved.
     rows = list(session.execute("SELECT * FROM readings"))
@@ -107,6 +109,16 @@ def test_duplicate_primary_key_raises():
 
 
 def test_compile_rejects_non_insert():
-    _, session = _fresh()
-    with pytest.raises(ProgrammingError):
-        session.compile_insert("UPDATE readings SET level = ? WHERE id = ?")
+    # Only a single-row INSERT binds through a template; an UPDATE runs
+    # row by row through the generic executor and writes what per-row
+    # execute_prepared writes.
+    update = "UPDATE readings SET level = ? WHERE id = ?"
+    classic_engine, classic = _fresh()
+    _execute_many(classic, _INSERT, _ROWS)
+    prepared = classic.prepare(update)
+    for row in [(11, 1), (12, 2)]:
+        classic.execute_prepared(prepared, row)
+    compiled_engine, compiled_session = _fresh()
+    _execute_many(compiled_session, _INSERT, _ROWS)
+    assert _execute_many(compiled_session, update, [(11, 1), (12, 2)]) == 2
+    assert _state(compiled_engine) == _state(classic_engine)
